@@ -4,14 +4,15 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race bench trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci fmt vet lint lint-baseline build test race flake flake-smoke bench trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
-# over every package, the trace-export smoke, the bounded scale-out load
-# smoke, the batched-wire concurrency smoke, the bounded crash-soak smoke,
-# the learned-prefetcher smoke, and the benchmark snapshot.
-ci: fmt vet lint build test race trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench
+# over every package, the bounded flake hunt, the trace-export smoke, the
+# bounded scale-out load smoke, the batched-wire concurrency smoke, the
+# bounded crash-soak smoke, the learned-prefetcher smoke, and the benchmark
+# snapshot.
+ci: fmt vet lint build test race flake-smoke trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -52,6 +53,19 @@ test:
 race:
 	$(GO) test -race -short -timeout 15m ./...
 
+# flake hunts intermittent failures in the live-prototype packages: every
+# test runs 20 times at each of 1, 2 and 4 CPUs, where scheduling races
+# that one plain `go test` pass hides show up. A flaky test is a bug in the
+# program or the test; fix it, never retry it.
+FLAKE_PKGS = ./internal/remote ./internal/load ./internal/dirshard ./internal/dirlog ./cmd/gmsload .
+flake:
+	$(GO) test -count=20 -cpu 1,2,4 -timeout 60m $(FLAKE_PKGS)
+
+# flake-smoke is the bounded CI variant: internal/remote only, three runs
+# at each CPU count (about a minute).
+flake-smoke:
+	$(GO) test -count=3 -cpu 1,2,4 ./internal/remote
+
 # bench runs the Go microbenchmarks and regenerates BENCH_experiments.json,
 # the per-experiment wall-clock snapshot that seeds the repo's perf
 # trajectory (see EXPERIMENTS.md). Override the scale or width with e.g.
@@ -60,9 +74,6 @@ BENCH_J ?= 0
 bench:
 	$(GO) test -bench . -benchtime 200x -run xxx -timeout 30m ./...
 	$(GO) run ./cmd/subpagesim -run all -scale $(BENCH_SCALE) -j $(BENCH_J) \
-		-benchout BENCH_experiments.json > /dev/null
-	$(GO) run ./cmd/gmsload -wire -shards 1 -clients 16 -requests 100 \
-		-pages 256 -policy pipelined -subpage 256 -cache 8 -dirservice 500us \
 		-benchout BENCH_experiments.json > /dev/null
 	$(GO) run ./cmd/gmsload -dirlog -dirlogn 1000,10000,50000 \
 		-benchout BENCH_experiments.json > /dev/null
@@ -101,9 +112,9 @@ loadtest-smoke:
 	$(GO) run ./cmd/gmsload -shards 1,4 -minx 2 -j 8 -duration 250ms \
 		-clients 8 -requests 20 -dirservice 500us -warmup -cache 8
 
-# wire-smoke is the bounded batched-wire smoke: v2 and v1-pinned clients
-# hammer the same replicated servers concurrently — hedges, cancels and
-# pool churn included — under the race detector.
+# wire-smoke is the bounded batched-wire smoke: three clients hammer the
+# same replicated servers concurrently — hedges, cancels and pool churn
+# included — under the race detector.
 wire-smoke:
 	$(GO) test -race -run 'TestBatchedWireSmoke|TestHedgeLoserCanceledEagerly' \
 		-count=1 ./internal/remote/

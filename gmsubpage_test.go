@@ -3,11 +3,13 @@ package gmsubpage_test
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	gmsubpage "github.com/gms-sim/gmsubpage"
+	"github.com/gms-sim/gmsubpage/internal/remote"
 )
 
 func TestWorkloadsAndPolicies(t *testing.T) {
@@ -167,6 +169,23 @@ func TestRemotePrototypeEndToEnd(t *testing.T) {
 	st := c.Stats()
 	if st.Faults == 0 || st.BytesIn == 0 {
 		t.Fatalf("no faults recorded: %+v", st)
+	}
+}
+
+// TestClientStatsMirrorsEveryCounter keeps the facade's ClientStats from
+// drifting behind the internal client's Stats: every counter field there
+// must have a same-named field here.
+func TestClientStatsMirrorsEveryCounter(t *testing.T) {
+	facade := reflect.TypeOf(gmsubpage.ClientStats{})
+	internal := reflect.TypeOf(remote.Stats{})
+	for i := 0; i < internal.NumField(); i++ {
+		f := internal.Field(i)
+		if k := f.Type.Kind(); k != reflect.Int64 && k != reflect.Int {
+			continue // latency summaries surface as medians, not counters
+		}
+		if _, ok := facade.FieldByName(f.Name); !ok {
+			t.Errorf("remote.Stats.%s has no ClientStats counterpart", f.Name)
+		}
 	}
 }
 

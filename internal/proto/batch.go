@@ -1,9 +1,5 @@
-// Wire protocol v2: batched, pipelined subpage transfer.
-//
-// The v1 fault path pays one length-prefixed frame — and one writer
-// syscall — per subpage fragment, and a reply stream is identified only
-// by its page number, so a connection cannot tell a live attempt's
-// fragments from a superseded one's. V2 fixes both:
+// Wire protocol v2: batched, pipelined subpage transfer, the protocol's
+// only page transfer.
 //
 //   - TGetPageV2 carries a client-chosen request ID and a want-bitmap of
 //     the subpage blocks still missing, so many gets pipeline on one
@@ -48,13 +44,13 @@ type GetPageV2 struct {
 	// FaultOff is the faulted byte offset within the page; the run
 	// covering it is flagged FlagFirst and sent in the first batch.
 	FaultOff uint32
-	// SubpageSize is the transfer granularity, as in v1.
+	// SubpageSize is the transfer granularity in bytes.
 	SubpageSize uint32
 	// Want is a bitmap over the page's MinSubpage blocks naming the
 	// blocks the client still needs; zero means "everything the policy
 	// plans". The faulted block is always included regardless.
 	Want uint32
-	// Policy is one of the Policy* constants, as in v1.
+	// Policy is one of the Policy* constants.
 	Policy uint8
 }
 

@@ -240,7 +240,7 @@ func TestWriterReleasesOversizedBuffer(t *testing.T) {
 	// And a steady stream of large frames never thrashes: the buffer
 	// survives interleaved small terminators.
 	data := make([]byte, units.PageSize)
-	if err := w.SendPageData(PageData{Page: 1, Data: data}); err != nil {
+	if err := w.SendPutPage(PutPage{Page: 1, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	before := cap(w.buf)
@@ -248,7 +248,7 @@ func TestWriterReleasesOversizedBuffer(t *testing.T) {
 		if err := w.SendAck(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.SendPageData(PageData{Page: 1, Data: data}); err != nil {
+		if err := w.SendPutPage(PutPage{Page: 1, Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,10 +289,10 @@ func TestBatchEncodeDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestV2TagsRejectedByOldReaders documents the interop story: a v1 reader
-// (here emulated by the pre-v2 tag bound) would reject the new tag bytes
-// at the framing layer, so a v2 sender must never use them until the peer
-// advertises v2 — see DESIGN.md §11 for the rollout order.
+// TestV2TagsRejectedByOldReaders pins the framing guarantee v2 was built
+// on: its tags sit above every pre-v2 tag, so a reader from before v2
+// (here emulated by the pre-v2 tag bound) rejects them at the framing
+// layer instead of misdispatching them — see DESIGN.md §11.
 func TestV2TagsRejectedByOldReaders(t *testing.T) {
 	for _, tag := range []Type{TGetPageV2, TSubpageBatch, TCancel} {
 		if tag <= TWrongShard {

@@ -14,8 +14,9 @@ import (
 //
 // Under plain `go test` the seeded corpus below runs as regression cases:
 // one well-formed frame of every message type (including the sharding
-// messages TShardMap and TWrongShard) and the truncation/overrun shapes
-// that length-prefixed formats historically get wrong.
+// messages TShardMap and TWrongShard), frames under the retired v1 tag
+// bytes 1 and 2, and the truncation/overrun shapes that length-prefixed
+// formats historically get wrong.
 func FuzzDecode(f *testing.F) {
 	seed := func(send func(*Writer) error) {
 		var buf bytes.Buffer
@@ -25,11 +26,9 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(func(w *Writer) error {
-		return w.SendGetPage(GetPage{Page: 3, FaultOff: 4096, SubpageSize: 1024, Policy: PolicyPipelined})
+		return w.SendGetPageV2(GetPageV2{ReqID: 1, Page: 3, SubpageSize: 8192, Policy: PolicyFullPage})
 	})
-	seed(func(w *Writer) error {
-		return w.SendPageData(PageData{Page: 3, Offset: 512, Flags: FlagFirst | FlagLast, Data: []byte("abc")})
-	})
+	seed(func(w *Writer) error { return w.SendSubpageBatch(1, 3, FlagLast, nil) })
 	seed(func(w *Writer) error { return w.SendPutPage(PutPage{Page: 9, Data: []byte{1, 2, 3}}) })
 	seed(func(w *Writer) error { return w.SendAck() })
 	seed(func(w *Writer) error { return w.SendLookup(Lookup{Page: 12}) })
@@ -72,8 +71,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TWrongShard), 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})        // map body shorter than version+count
 	f.Add([]byte{byte(TRegister), 12, 0, 0, 0, 3, 'a', ':', '1', 0, 0, 0, 0, 0})   // epoch truncated
 	f.Add([]byte{byte(THeartbeat), 12, 0, 0, 0, 3, 'a', ':', '1', 0, 0, 0, 0, 0})  // epoch truncated
-	f.Add([]byte{byte(TGetPage), 3, 0, 0, 0, 1, 2, 3})                             // shorter than fixed layout
-	f.Add([]byte{byte(TPageData), 2, 0, 0, 0, 1, 2})                               // shorter than fixed layout
+	f.Add(append([]byte{1, 17, 0, 0, 0}, make([]byte, 17)...))                     // retired v1 page request tag
+	f.Add(append([]byte{2, 16, 0, 0, 0}, make([]byte, 16)...))                     // retired v1 page fragment tag
 	f.Add([]byte{byte(TShardMap), 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'x'}) // count 0 with trailing byte
 	f.Add(append([]byte{byte(TPutPage), 255, 255, 255, 255}, make([]byte, 16)...)) // oversized length prefix
 	f.Add([]byte{byte(TRegister), 10, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 1}) // ragged page list
@@ -97,8 +96,6 @@ func FuzzDecode(f *testing.F) {
 			// Decode the payload under every decoder, not just the one the
 			// type byte names: a corrupted type byte must not let a payload
 			// reach a decoder that panics on it.
-			_, _ = DecodeGetPage(fr.Payload)
-			_, _ = DecodePageData(fr.Payload)
 			_, _ = DecodePutPage(fr.Payload)
 			_, _ = DecodeLookup(fr.Payload)
 			if rep, err := DecodeLookupReply(fr.Payload); err == nil {

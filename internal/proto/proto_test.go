@@ -24,40 +24,6 @@ func roundTrip(t *testing.T, send func(*Writer) error) Frame {
 	return f
 }
 
-func TestGetPageRoundTrip(t *testing.T) {
-	in := GetPage{Page: 0xdeadbeef, FaultOff: 4097, SubpageSize: 1024, Policy: PolicyEager}
-	f := roundTrip(t, func(w *Writer) error { return w.SendGetPage(in) })
-	if f.Type != TGetPage {
-		t.Fatalf("type = %v", f.Type)
-	}
-	out, err := DecodeGetPage(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
-	}
-}
-
-func TestPageDataRoundTrip(t *testing.T) {
-	data := make([]byte, units.PageSize)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	in := PageData{Page: 7, Offset: 2048, Flags: FlagFirst | FlagLast, Data: data}
-	f := roundTrip(t, func(w *Writer) error { return w.SendPageData(in) })
-	out, err := DecodePageData(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Page != 7 || out.Offset != 2048 || out.Flags != FlagFirst|FlagLast {
-		t.Fatalf("header mismatch: %+v", out)
-	}
-	if !bytes.Equal(out.Data, data) {
-		t.Fatal("data mismatch")
-	}
-}
-
 func TestPutPageRoundTrip(t *testing.T) {
 	in := PutPage{Page: 99, Data: bytes.Repeat([]byte{0xab}, units.PageSize)}
 	f := roundTrip(t, func(w *Writer) error { return w.SendPutPage(in) })
@@ -231,13 +197,13 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 func TestOversizedPayloadRejected(t *testing.T) {
 	var buf bytes.Buffer
 	// Hand-craft a frame claiming a giant payload.
-	buf.Write([]byte{byte(TPageData), 0xff, 0xff, 0xff, 0x7f})
+	buf.Write([]byte{byte(TPutPage), 0xff, 0xff, 0xff, 0x7f})
 	if _, err := NewReader(&buf).Next(); err == nil {
 		t.Fatal("oversized frame should be rejected")
 	}
 	// And the writer refuses to produce one.
 	w := NewWriter(io.Discard)
-	err := w.SendPageData(PageData{Data: make([]byte, MaxPayload+1)})
+	err := w.SendPutPage(PutPage{Data: make([]byte, MaxPayload+1)})
 	if err == nil {
 		t.Fatal("oversized send should fail")
 	}
@@ -256,9 +222,11 @@ func TestTruncatedFrame(t *testing.T) {
 
 // TestUnknownTypeByteRejected pins the framing contract that lets tag
 // switches over Type be exhaustive with no default: Next never hands an
-// undeclared tag to a caller.
+// undeclared tag to a caller. Bytes 1 and 2, the retired v1 page-transfer
+// tags, are rejected the same way, so a stray v1 peer is cut off at the
+// framing layer rather than misdispatched.
 func TestUnknownTypeByteRejected(t *testing.T) {
-	for _, tag := range []byte{0, byte(TDrainReply) + 1, 200, 255} {
+	for _, tag := range []byte{0, 1, 2, byte(TDrainReply) + 1, 200, 255} {
 		raw := []byte{tag, 0, 0, 0, 0}
 		_, err := NewReader(bytes.NewReader(raw)).Next()
 		if err == nil {
@@ -268,7 +236,7 @@ func TestUnknownTypeByteRejected(t *testing.T) {
 			t.Fatalf("type byte %d: err = %v, want the unknown-type rejection", tag, err)
 		}
 	}
-	for tag := TGetPage; tag <= TDrainReply; tag++ {
+	for tag := TPutPage; tag <= TDrainReply; tag++ {
 		raw := []byte{byte(tag), 0, 0, 0, 0}
 		if _, err := NewReader(bytes.NewReader(raw)).Next(); err != nil {
 			t.Fatalf("declared tag %v rejected at the framing layer: %v", tag, err)
@@ -277,12 +245,6 @@ func TestUnknownTypeByteRejected(t *testing.T) {
 }
 
 func TestShortPayloadDecodes(t *testing.T) {
-	if _, err := DecodeGetPage([]byte{1, 2}); err == nil {
-		t.Error("short GetPage should fail")
-	}
-	if _, err := DecodePageData([]byte{1}); err == nil {
-		t.Error("short PageData should fail")
-	}
 	if _, err := DecodePutPage(nil); err == nil {
 		t.Error("short PutPage should fail")
 	}
@@ -321,42 +283,66 @@ func TestRegisterAddrTooLong(t *testing.T) {
 	}
 }
 
-func TestQuickGetPageRoundTrip(t *testing.T) {
-	f := func(page uint64, off, sub uint32, pol uint8) bool {
-		in := GetPage{Page: page, FaultOff: off, SubpageSize: sub, Policy: pol}
+func TestQuickGetPageV2RoundTrip(t *testing.T) {
+	f := func(id, page uint64, off, sub, want uint32, pol uint8) bool {
+		in := GetPageV2{ReqID: id, Page: page, FaultOff: off, SubpageSize: sub, Want: want, Policy: pol}
 		var buf bytes.Buffer
-		if err := NewWriter(&buf).SendGetPage(in); err != nil {
+		if err := NewWriter(&buf).SendGetPageV2(in); err != nil {
 			return false
 		}
 		fr, err := NewReader(&buf).Next()
 		if err != nil {
 			return false
 		}
-		out, err := DecodeGetPage(fr.Payload)
-		return err == nil && out == in
+		out, err := DecodeGetPageV2(fr.Payload)
+		return err == nil && fr.Type == TGetPageV2 && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestQuickPageDataRoundTrip(t *testing.T) {
-	f := func(page uint64, off uint32, flags uint8, data []byte) bool {
-		if len(data) > units.PageSize {
-			data = data[:units.PageSize]
+// TestQuickSubpageBatchRoundTrip round-trips a batch built from an
+// arbitrary valid-bit set: every maximal run of set bits becomes one run,
+// and the decoded batch must reproduce the runs and their bytes exactly.
+func TestQuickSubpageBatchRoundTrip(t *testing.T) {
+	page := make([]byte, units.PageSize)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	f := func(id, pg uint64, flags uint8, covers uint32) bool {
+		var runs []SubpageRun
+		for blk := 0; blk < units.ValidBitsPerPage; {
+			if covers&(1<<blk) == 0 {
+				blk++
+				continue
+			}
+			start := blk
+			for blk < units.ValidBitsPerPage && covers&(1<<blk) != 0 {
+				blk++
+			}
+			lo, hi := start*units.MinSubpage, blk*units.MinSubpage
+			runs = append(runs, SubpageRun{Off: uint32(lo), Data: page[lo:hi]})
 		}
-		in := PageData{Page: page, Offset: off, Flags: flags, Data: data}
 		var buf bytes.Buffer
-		if err := NewWriter(&buf).SendPageData(in); err != nil {
+		if err := NewWriter(&buf).SendSubpageBatch(id, pg, flags, runs); err != nil {
 			return false
 		}
 		fr, err := NewReader(&buf).Next()
-		if err != nil {
+		if err != nil || fr.Type != TSubpageBatch {
 			return false
 		}
-		out, err := DecodePageData(fr.Payload)
-		return err == nil && out.Page == page && out.Offset == off &&
-			out.Flags == flags && bytes.Equal(out.Data, data)
+		b, err := DecodeSubpageBatch(fr.Payload)
+		if err != nil || b.ReqID != id || b.Page != pg || b.Flags != flags || b.Runs() != len(runs) {
+			return false
+		}
+		for i, r := range runs {
+			off, data := b.Run(i)
+			if off != int(r.Off) || !bytes.Equal(data, r.Data) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -377,10 +363,6 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 			}
 			// Decoders must not panic either.
 			switch fr.Type {
-			case TGetPage:
-				DecodeGetPage(fr.Payload)
-			case TPageData:
-				DecodePageData(fr.Payload)
 			case TPutPage:
 				DecodePutPage(fr.Payload)
 			case TLookup:
@@ -443,7 +425,7 @@ func TestDrainRoundTrip(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	types := []Type{TGetPage, TPageData, TPutPage, TAck, TLookup,
+	types := []Type{TPutPage, TAck, TLookup,
 		TLookupReply, TRegister, TError, THeartbeat,
 		TGetShardMap, TShardMap, TWrongShard,
 		TGetPageV2, TSubpageBatch, TCancel, TDrain, TDrainReply}

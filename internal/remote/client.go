@@ -35,8 +35,7 @@ type ClientConfig struct {
 	// and each fault's v2 want bitmap carries the predicted window
 	// alongside the accessed range. The wire policy is forced to lazy so
 	// the server ships exactly the requested blocks — predictions ride
-	// the existing want bitmap, no new wire tags. Requires the v2 wire
-	// (incompatible with WireV1: the v1 request has no want bitmap).
+	// the existing want bitmap, no new wire tags.
 	Prefetch bool
 
 	// Resilience knobs (see DESIGN.md §7). The paper's prototype assumed
@@ -74,14 +73,6 @@ type ClientConfig struct {
 	BreakerCooldown time.Duration
 	// Dial overrides the network dialer (chaos injection, tests).
 	Dial func(network, addr string) (net.Conn, error)
-
-	// WireV1 pins the fault path to the v1 wire protocol (one GetPage in
-	// flight per page, one frame per fragment). Set it when talking to
-	// servers that predate TGetPageV2 — servers reject unknown tags at
-	// the framing layer, so rollout order is servers first, then clients
-	// (see DESIGN.md §11). Default false: batched v2 with pipelined
-	// request IDs and eager hedge cancellation.
-	WireV1 bool
 
 	// Metrics, when non-nil, registers the client's gms_client_* metrics
 	// there. Nil (the default) disables metrics at zero hot-path cost.
@@ -164,8 +155,8 @@ type cpage struct {
 	firstOK  bool // the faulted subpage of the current attempt arrived
 	waiters  int  // accessors parked in ensureValid on this page
 	// sources maps the servers currently streaming this page (two when a
-	// hedge is in flight) to their v2 request IDs (0 on the v1 wire); the
-	// attempt fails only when all of them do.
+	// hedge is in flight) to their request IDs; the attempt fails only
+	// when all of them do.
 	sources map[string]uint64
 	// waitCh signals the owning faultLoop: nil on stream completion, an
 	// error when every source failed. Buffered; sent under c.mu and
@@ -194,7 +185,7 @@ func newCpage() *cpage {
 	return &cpage{data: data}
 }
 
-// reqEntry ties a live v2 request ID to the page attempt it serves.
+// reqEntry ties a live request ID to the page attempt it serves.
 type reqEntry struct {
 	p    *cpage
 	addr string
@@ -208,12 +199,8 @@ type pendingCancel struct {
 }
 
 // regRequest mints and registers a request ID for an attempt on p served
-// by addr, or returns 0 when the client is pinned to the v1 wire. Called
-// with c.mu held.
+// by addr. Called with c.mu held.
 func (c *Client) regRequest(p *cpage, addr string) uint64 {
-	if c.cfg.WireV1 {
-		return 0
-	}
 	c.nextReq++
 	id := c.nextReq
 	c.reqs[id] = reqEntry{p: p, addr: addr}
@@ -253,9 +240,6 @@ func (c *Client) wantFor(p *cpage, page uint64, off, n int) uint32 {
 // Called with c.mu held; send the cancels after unlocking.
 func (c *Client) deregSources(p *cpage, cancels []pendingCancel) []pendingCancel {
 	for a, id := range p.sources {
-		if id == 0 {
-			continue // v1: no way to withdraw, the stream drains as it always did
-		}
 		delete(c.reqs, id)
 		cancels = append(cancels, pendingCancel{addr: a, id: id})
 		c.stats.Cancels++
@@ -369,9 +353,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("remote: invalid subpage size %d", cfg.SubpageSize)
 	}
 	if cfg.Prefetch {
-		if cfg.WireV1 {
-			return nil, errors.New("remote: Prefetch requires the v2 wire (the v1 request has no want bitmap)")
-		}
 		// Predictions select content through the want bitmap; the lazy
 		// wire policy hands the server no plan of its own to fight them.
 		cfg.Policy = proto.PolicyLazy
@@ -778,9 +759,7 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 					if p.waitCh == ch {
 						delete(p.sources, hedge)
 					}
-					if hid != 0 {
-						delete(c.reqs, hid)
-					}
+					delete(c.reqs, hid)
 					c.mu.Unlock()
 				}
 			}
@@ -823,8 +802,8 @@ func (c *Client) cancelAttempt(p *cpage, ch chan error) bool {
 }
 
 // sendGet writes one page request to addr under a write deadline, so a
-// stalled connection cannot wedge the fault path. id and want are the v2
-// request ID and missing-block bitmap; id 0 means the v1 wire.
+// stalled connection cannot wedge the fault path. id and want are the
+// request ID and missing-block bitmap.
 func (c *Client) sendGet(addr string, page uint64, off int, id uint64, want uint32) error {
 	sc, err := c.server(addr)
 	if err != nil {
@@ -834,20 +813,12 @@ func (c *Client) sendGet(addr string, page uint64, off int, id uint64, want uint
 	defer sc.wmu.Unlock()
 	_ = sc.conn.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
 	defer sc.conn.SetWriteDeadline(time.Time{})
-	if id != 0 {
-		return sc.w.SendGetPageV2(proto.GetPageV2{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
-			ReqID:       id,
-			Page:        page,
-			FaultOff:    uint32(off),
-			SubpageSize: uint32(c.cfg.SubpageSize),
-			Want:        want,
-			Policy:      c.cfg.Policy,
-		})
-	}
-	return sc.w.SendGetPage(proto.GetPage{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
+	return sc.w.SendGetPageV2(proto.GetPageV2{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
+		ReqID:       id,
 		Page:        page,
 		FaultOff:    uint32(off),
 		SubpageSize: uint32(c.cfg.SubpageSize),
+		Want:        want,
 		Policy:      c.cfg.Policy,
 	})
 }
@@ -1221,10 +1192,10 @@ func (dc *dirConn) lookupRPC(c *Client, page uint64) (proto.LookupReply, error) 
 		return proto.LookupReply{}, &WrongShardError{Page: ws.Page, Map: ws.Map}
 	case proto.TError:
 		return proto.LookupReply{}, fmt.Errorf("remote: directory %s: %s", dc.addr, proto.DecodeError(f.Payload).Text)
-	case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-		proto.TLookup, proto.TRegister, proto.THeartbeat,
-		proto.TGetShardMap, proto.TShardMap, proto.TGetPageV2,
-		proto.TSubpageBatch, proto.TCancel, proto.TDrain, proto.TDrainReply:
+	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TRegister,
+		proto.THeartbeat, proto.TGetShardMap, proto.TShardMap,
+		proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel,
+		proto.TDrain, proto.TDrainReply:
 		// Valid tags that never answer a lookup; fall through to the
 		// protocol error below.
 	}
@@ -1273,14 +1244,14 @@ func (c *Client) server(addr string) (*srvConn, error) {
 	sc := &srvConn{conn: conn, w: proto.NewWriter(conn)}
 	c.servers[addr] = sc
 	c.wg.Add(1)
-	// The data stream deliberately reads without a deadline: fragments
+	// The data stream deliberately reads without a deadline: batches
 	// arrive whenever the server sends them. Liveness is enforced per
 	// attempt (RequestTimeout timers + dropServer), not per read.
 	go c.readLoop(addr, conn) //lint:allow deadlinecheck data-stream reads are unbounded by design; per-attempt RequestTimeout and dropServer bound liveness
 	return sc, nil
 }
 
-// readLoop applies incoming page fragments to the cache: the prototype's
+// readLoop applies incoming page batches to the cache: the prototype's
 // interrupt handler. A connection failure is scoped to the pages this
 // server was transferring — other servers' pages stay usable and a later
 // fault redials.
@@ -1295,12 +1266,6 @@ func (c *Client) readLoop(addr string, conn net.Conn) {
 			return
 		}
 		switch f.Type {
-		case proto.TPageData:
-			pd, err := proto.DecodePageData(f.Payload)
-			if err != nil {
-				continue
-			}
-			c.applyFragment(addr, pd)
 		case proto.TSubpageBatch:
 			b, err := proto.DecodeSubpageBatch(f.Payload)
 			if err != nil {
@@ -1315,11 +1280,11 @@ func (c *Client) readLoop(addr string, conn net.Conn) {
 			cause = fmt.Errorf("remote: server %s: %s",
 				addr, proto.DecodeError(f.Payload).Text)
 			c.failPending(addr, cause)
-		case proto.TGetPage, proto.TPutPage, proto.TAck, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TCancel, proto.TDrain, proto.TDrainReply:
-			// A data connection only ever carries page fragments and
+		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TCancel, proto.TDrain, proto.TDrainReply:
+			// A data connection only ever carries page batches and
 			// errors. Any other tag means the peer is not speaking the
 			// page-server protocol (or the stream is desynchronized);
 			// trusting further frames would corrupt cached pages, so
@@ -1359,15 +1324,13 @@ func (c *Client) failPending(addr string, cause error) {
 			continue
 		}
 		delete(p.sources, addr)
-		if id != 0 {
-			delete(c.reqs, id)
-			// Withdraw the stream if the connection survives (an
-			// application-level TError): the server may still be
-			// streaming requests this failure did not concern.
-			cancels = append(cancels, pendingCancel{addr: addr, id: id})
-			c.stats.Cancels++
-			c.met.cancels.Inc()
-		}
+		delete(c.reqs, id)
+		// Withdraw the stream if the connection survives (an
+		// application-level TError): the server may still be streaming
+		// requests this failure did not concern.
+		cancels = append(cancels, pendingCancel{addr: addr, id: id})
+		c.stats.Cancels++
+		c.met.cancels.Inc()
 		if len(p.sources) == 0 && p.waitCh != nil {
 			ch := p.waitCh
 			p.waitCh = nil
@@ -1380,50 +1343,7 @@ func (c *Client) failPending(addr string, cause error) {
 	c.sendCancels(cancels)
 }
 
-// applyFragment copies one arriving fragment into the cache and signals
-// completion to the owning faultLoop on the stream terminator. Fragments
-// from a superseded attempt (timed out, hedged twin finishing second)
-// still carry correct bytes, so their data is applied rather than wasted.
-func (c *Client) applyFragment(addr string, pd proto.PageData) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.cache[pd.Page]
-	if p == nil {
-		return // page was evicted mid-transfer; drop the data
-	}
-	if len(pd.Data) > 0 {
-		off := int(pd.Offset)
-		if off+len(pd.Data) > units.PageSize {
-			return
-		}
-		copy(p.data[off:], pd.Data)
-		p.valid = p.valid.Set(neededMask(off, len(pd.Data)))
-		c.stats.BytesIn += int64(len(pd.Data))
-		c.met.bytesIn.Add(int64(len(pd.Data)))
-		if pd.Flags&proto.FlagFirst != 0 && !p.firstOK && !p.start.IsZero() {
-			p.firstOK = true
-			lat := float64(time.Since(p.start).Microseconds())
-			c.stats.SubpageLat.Add(lat)
-			c.met.subpageLat.Observe(lat)
-		}
-	}
-	if pd.Flags&proto.FlagLast != 0 && p.waitCh != nil {
-		ch := p.waitCh
-		p.waitCh = nil
-		p.inflight = false
-		p.sources = nil
-		if !p.start.IsZero() {
-			lat := float64(time.Since(p.start).Microseconds())
-			c.stats.FullLat.Add(lat)
-			c.met.fullLat.Observe(lat)
-			p.start = time.Time{}
-		}
-		ch <- nil //lint:allow lockio waitCh has capacity 1 and is nilled in this critical section, so the send never blocks
-	}
-	c.cond.Broadcast()
-}
-
-// applyBatch is the v2 interrupt handler: one frame, many subpage runs.
+// applyBatch is the interrupt handler: one frame, many subpage runs.
 // The request ID decides what the batch may do — a live ID applies data
 // AND drives the attempt state machine (first-subpage latency, stream
 // completion, hedge settlement); a stale ID (canceled, timed out,

@@ -793,10 +793,9 @@ func (d *Directory) serve(conn net.Conn) {
 			if err := w.SendDrainReply(proto.DrainReply{Moved: uint32(moved)}); err != nil {
 				return
 			}
-		case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-			proto.TLookupReply, proto.TError, proto.TShardMap,
-			proto.TWrongShard, proto.TGetPageV2, proto.TSubpageBatch,
-			proto.TCancel, proto.TDrainReply:
+		case proto.TPutPage, proto.TAck, proto.TLookupReply, proto.TError,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TSubpageBatch, proto.TCancel, proto.TDrainReply:
 			// Data-plane and reply tags never arrive at a directory;
 			// refuse and hang up rather than guess at the peer's intent.
 			_ = w.SendError(fmt.Sprintf("directory: unexpected %v", f.Type))

@@ -226,11 +226,11 @@ func transferPages(src, dest string, pages []uint64) error {
 	sr, sw := proto.NewReader(sc), proto.NewWriter(sc)
 	dr, dw := proto.NewReader(dc), proto.NewWriter(dc)
 	buf := make([]byte, units.PageSize)
-	for _, p := range pages {
+	for i, p := range pages {
 		if err := sc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
 			return err
 		}
-		if err := fetchFullPage(sr, sw, p, buf); err != nil {
+		if err := fetchFullPage(sr, sw, uint64(i+1), p, buf); err != nil {
 			return fmt.Errorf("fetch page %d from %s: %w", p, src, err)
 		}
 		if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
@@ -246,65 +246,68 @@ func transferPages(src, dest string, pages []uint64) error {
 	if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
 		return err
 	}
-	if err := confirmPage(dr, dw, pages[len(pages)-1]); err != nil {
+	if err := confirmPage(dr, dw, 1, pages[len(pages)-1]); err != nil {
 		return fmt.Errorf("confirm on %s: %w", dest, err)
 	}
 	return nil
 }
 
-// fetchFullPage issues a v1 full-page get and assembles the reply into
-// buf (PageSize bytes).
-func fetchFullPage(r *proto.Reader, w *proto.Writer, page uint64, buf []byte) error {
-	if err := w.SendGetPage(proto.GetPage{
-		Page: page, FaultOff: 0, SubpageSize: units.PageSize, Policy: proto.PolicyFullPage,
+// fetchFullPage issues a full-page get as request id — want 0 asks for
+// the whole page — and assembles the reply into buf (PageSize bytes).
+func fetchFullPage(r *proto.Reader, w *proto.Writer, id, page uint64, buf []byte) error {
+	if err := w.SendGetPageV2(proto.GetPageV2{
+		ReqID: id, Page: page, SubpageSize: units.PageSize, Policy: proto.PolicyFullPage,
 	}); err != nil {
 		return err
 	}
-	return readPageData(r, page, buf)
+	return readPageData(r, id, page, buf)
 }
 
-// confirmPage issues a minimal lazy get and drains the reply, discarding
-// the data: its only job is proving the connection's earlier frames were
-// processed.
-func confirmPage(r *proto.Reader, w *proto.Writer, page uint64) error {
-	if err := w.SendGetPage(proto.GetPage{
-		Page: page, FaultOff: 0, SubpageSize: units.MinSubpage, Policy: proto.PolicyLazy,
+// confirmPage issues a one-block lazy get as request id and drains the
+// reply, discarding the data: its only job is proving the connection's
+// earlier frames were processed.
+func confirmPage(r *proto.Reader, w *proto.Writer, id, page uint64) error {
+	if err := w.SendGetPageV2(proto.GetPageV2{
+		ReqID: id, Page: page, SubpageSize: units.MinSubpage, Want: 1, Policy: proto.PolicyLazy,
 	}); err != nil {
 		return err
 	}
-	return readPageData(r, page, nil)
+	return readPageData(r, id, page, nil)
 }
 
-// readPageData consumes one v1 reply stream (TPageData frames through
-// FlagLast), copying fragments into buf when non-nil.
-func readPageData(r *proto.Reader, page uint64, buf []byte) error {
+// readPageData consumes one reply stream (TSubpageBatch frames for
+// request id, through FlagLast), copying the runs into buf when non-nil.
+func readPageData(r *proto.Reader, id, page uint64, buf []byte) error {
 	for {
 		f, err := r.Next()
 		if err != nil {
 			return err
 		}
 		switch f.Type {
-		case proto.TPageData:
-			pd, err := proto.DecodePageData(f.Payload)
+		case proto.TSubpageBatch:
+			b, err := proto.DecodeSubpageBatch(f.Payload)
 			if err != nil {
 				return err
 			}
-			if pd.Page != page {
-				return fmt.Errorf("reply for page %d while fetching %d", pd.Page, page)
+			if b.ReqID != id || b.Page != page {
+				return fmt.Errorf("reply to request %d for page %d while fetching page %d as request %d",
+					b.ReqID, b.Page, page, id)
 			}
-			if buf != nil && len(pd.Data) > 0 && int(pd.Offset)+len(pd.Data) <= len(buf) {
-				copy(buf[pd.Offset:], pd.Data)
+			if buf != nil {
+				for i := 0; i < b.Runs(); i++ {
+					off, data := b.Run(i)
+					copy(buf[off:], data)
+				}
 			}
-			if pd.Flags&proto.FlagLast != 0 {
+			if b.Flags&proto.FlagLast != 0 {
 				return nil
 			}
 		case proto.TError:
 			return fmt.Errorf("%s", proto.DecodeError(f.Payload).Text)
-		case proto.TGetPage, proto.TPutPage, proto.TAck, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel,
-			proto.TDrain, proto.TDrainReply:
+		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TCancel, proto.TDrain, proto.TDrainReply:
 			return fmt.Errorf("unexpected %v in page reply", f.Type)
 		}
 	}
@@ -344,11 +347,10 @@ func DrainVia(dirAddr, serverAddr string, timeout time.Duration) (int, error) {
 		return int(rep.Moved), nil
 	case proto.TError:
 		return 0, fmt.Errorf("remote: drain: %s", proto.DecodeError(f.Payload).Text)
-	case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-		proto.TLookup, proto.TLookupReply, proto.TRegister,
-		proto.THeartbeat, proto.TGetShardMap, proto.TShardMap,
-		proto.TWrongShard, proto.TGetPageV2, proto.TSubpageBatch,
-		proto.TCancel, proto.TDrain:
+	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+		proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+		proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+		proto.TSubpageBatch, proto.TCancel, proto.TDrain:
 		return 0, fmt.Errorf("remote: drain: unexpected %v reply", f.Type)
 	}
 	return 0, nil

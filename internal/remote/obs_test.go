@@ -160,9 +160,12 @@ func TestServerAndDirectoryMetrics(t *testing.T) {
 	if got := sreg.Gauge("gms_server_pages", "").Value(); got != 4 {
 		t.Errorf("gms_server_pages = %d, want 4", got)
 	}
-	if got := sreg.Counter("gms_server_bytes_out_total", "").Value(); got < 4*units.PageSize {
-		t.Errorf("gms_server_bytes_out_total = %d, want >= %d", got, 4*units.PageSize)
-	}
+	// Read returns once the faulted bytes land, which can be before the
+	// server's writer returns from WriteTo and counts them; wait for the
+	// counter to settle instead of sampling it.
+	bytesOut := sreg.Counter("gms_server_bytes_out_total", "")
+	waitFor(t, 2*time.Second, func() bool { return bytesOut.Value() >= 4*units.PageSize },
+		"gms_server_bytes_out_total to reach 4 pages")
 	if got := dreg.Counter("gms_dir_registers_total", "").Value(); got == 0 {
 		t.Error("gms_dir_registers_total = 0, want > 0")
 	}

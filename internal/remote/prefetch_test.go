@@ -98,12 +98,3 @@ func TestClientPrefetchLearnsStride(t *testing.T) {
 			prefFaults, lazyFaults)
 	}
 }
-
-// TestClientPrefetchRejectsV1 pins the config guard: predictions ride the
-// v2 want bitmap, so a v1-pinned prefetch client must fail at Dial.
-func TestClientPrefetchRejectsV1(t *testing.T) {
-	_, err := Dial(ClientConfig{Directory: "127.0.0.1:1", Prefetch: true, WireV1: true})
-	if err == nil {
-		t.Fatal("Dial accepted Prefetch+WireV1")
-	}
-}

@@ -320,16 +320,16 @@ func TestInvalidSubpageSizeRejected(t *testing.T) {
 }
 
 func TestBitmapRuns(t *testing.T) {
-	runs := bitmapRuns(0)
+	runs := appendBitmapRuns(nil, 0)
 	if len(runs) != 0 {
 		t.Fatalf("empty bitmap: %v", runs)
 	}
-	runs = bitmapRuns(0xFFFFFFFF)
+	runs = appendBitmapRuns(nil, 0xFFFFFFFF)
 	if len(runs) != 1 || runs[0] != (byteRun{0, units.PageSize}) {
 		t.Fatalf("full bitmap: %v", runs)
 	}
 	// Bits 0-3 and 8-11: two 1K runs with a gap.
-	runs = bitmapRuns(0x00000F0F)
+	runs = appendBitmapRuns(nil, 0x00000F0F)
 	want := []byteRun{{0, 1024}, {2048, 3072}}
 	if len(runs) != 2 || runs[0] != want[0] || runs[1] != want[1] {
 		t.Fatalf("split bitmap: %v, want %v", runs, want)

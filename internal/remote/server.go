@@ -15,15 +15,15 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
-// Server is a page server: a node donating memory to the global cache. It
-// answers GetPage requests by streaming the faulted subpage first and the
-// remainder according to the requested policy, and accepts PutPage traffic
-// from evicting clients.
 // DefaultHeartbeatInterval is the lease-renewal period used unless
 // SetHeartbeatInterval overrides it. It must stay well under the
 // directory's lease TTL so a healthy server never expires.
 const DefaultHeartbeatInterval = 5 * time.Second
 
+// Server is a page server: a node donating memory to the global cache. It
+// answers GetPageV2 requests by streaming the faulted subpage first and the
+// remainder according to the requested policy, and accepts PutPage traffic
+// from evicting clients.
 type Server struct {
 	ln net.Listener
 
@@ -48,7 +48,7 @@ type Server struct {
 	hbOn     bool
 
 	// wireNsPerByte emulates a slower link: the server delays each data
-	// fragment by its serialization time at the configured rate. Loopback
+	// batch by its serialization time at the configured rate. Loopback
 	// TCP is effectively infinitely fast, which hides the transfer-size
 	// effects the paper measures on a 155 Mb/s ATM; throttling restores
 	// them. Zero means no throttling. Accessed atomically.
@@ -328,11 +328,11 @@ func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
 		case proto.TAck:
 		case proto.TError:
 			return fmt.Errorf("remote: register: %s", proto.DecodeError(f.Payload).Text)
-		case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel,
-			proto.TDrain, proto.TDrainReply:
+		case proto.TPutPage, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TSubpageBatch, proto.TCancel, proto.TDrain,
+			proto.TDrainReply:
 			return fmt.Errorf("remote: register: unexpected %v", f.Type)
 		}
 		ids = ids[n:]
@@ -456,19 +456,12 @@ func (s *Server) acceptLoop() {
 }
 
 // srvReq is one unit of work handed from a connection's reader to its
-// writer goroutine.
+// writer goroutine: a page request to serve, or, when errMsg is set, a
+// TError to send in its place.
 type srvReq struct {
-	get    proto.GetPage   // valid when kind == reqGetV1
-	getV2  proto.GetPageV2 // valid when kind == reqGetV2
-	errMsg string          // valid when kind == reqError
-	kind   uint8
+	get    proto.GetPageV2
+	errMsg string
 }
-
-const (
-	reqGetV1 = iota
-	reqGetV2
-	reqError
-)
 
 // connState is the per-connection serving state shared by the reader and
 // writer halves. The reader decodes requests into queue and records
@@ -492,7 +485,7 @@ type connState struct {
 	brs  []byteRun
 }
 
-// begin records a v2 request as live (called by the reader on enqueue).
+// begin records a request as live (called by the reader on enqueue).
 func (st *connState) begin(id uint64) {
 	st.cmu.Lock()
 	st.live[id] = true
@@ -571,32 +564,25 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		switch f.Type {
-		case proto.TGetPage:
-			req, err := proto.DecodeGetPage(f.Payload)
-			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
-				return
-			}
-			st.queue <- srvReq{kind: reqGetV1, get: req}
 		case proto.TGetPageV2:
 			req, err := proto.DecodeGetPageV2(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			st.begin(req.ReqID)
-			st.queue <- srvReq{kind: reqGetV2, getV2: req}
+			st.queue <- srvReq{get: req}
 		case proto.TCancel:
 			cn, err := proto.DecodeCancel(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			st.cancel(cn.ReqID)
 		case proto.TPutPage:
 			put, err := proto.DecodePutPage(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			s.Store(put.Page, put.Data)
@@ -607,11 +593,11 @@ func (s *Server) serve(conn net.Conn) {
 			met.puts.Inc()
 		case proto.TAck, proto.TLookup, proto.TLookupReply, proto.TRegister,
 			proto.TError, proto.THeartbeat, proto.TGetShardMap,
-			proto.TShardMap, proto.TWrongShard, proto.TPageData,
-			proto.TSubpageBatch, proto.TDrain, proto.TDrainReply:
+			proto.TShardMap, proto.TWrongShard, proto.TSubpageBatch,
+			proto.TDrain, proto.TDrainReply:
 			// Tags a page server never receives; refuse and hang up so a
 			// confused peer cannot keep feeding us misdirected traffic.
-			st.queue <- srvReq{kind: reqError, errMsg: fmt.Sprintf("server: unexpected %v", f.Type)}
+			st.queue <- srvReq{errMsg: fmt.Sprintf("server: unexpected %v", f.Type)}
 			return
 		}
 	}
@@ -628,20 +614,17 @@ func (s *Server) writeLoop(st *connState) {
 	dead := false
 	for req := range st.queue {
 		if dead {
-			if req.kind == reqGetV2 {
-				st.finish(req.getV2.ReqID)
+			if req.errMsg == "" {
+				st.finish(req.get.ReqID)
 			}
 			continue
 		}
 		var err error
-		switch req.kind {
-		case reqGetV1:
-			err = s.sendPage(w, req.get, slp)
-		case reqGetV2:
-			err = s.sendPageV2(st, w, req.getV2, slp)
-			st.finish(req.getV2.ReqID)
-		case reqError:
+		if req.errMsg != "" {
 			err = w.SendError(req.errMsg)
+		} else {
+			err = s.sendPageV2(st, w, req.get, slp)
+			st.finish(req.get.ReqID)
 		}
 		if err != nil {
 			dead = true
@@ -659,41 +642,6 @@ func policyFor(b uint8) (core.Policy, error) {
 		return nil, err
 	}
 	return core.ByName(name)
-}
-
-// sendPage streams the fragments of one page per the requested policy:
-// the fragment covering the fault goes first, the rest follow immediately
-// behind it on the wire (the prototype's sender pipelining).
-func (s *Server) sendPage(w *proto.Writer, req proto.GetPage, slp *sleeper) error {
-	pb, pol, sub, off, errMsg := s.openGet(req.Page, req.Policy, req.SubpageSize, req.FaultOff)
-	if errMsg != "" {
-		return w.SendError(errMsg)
-	}
-	defer pb.release()
-	data := pb.data
-	met := s.metrics()
-
-	plan := pol.Plan(sub, off)
-	for i, msg := range plan {
-		for _, run := range bitmapRuns(msg.Covers) {
-			flags := uint8(0)
-			if i == 0 && run.contains(off) {
-				flags |= proto.FlagFirst
-			}
-			s.wireDelay(slp, run.end-run.start)
-			if err := w.SendPageData(proto.PageData{
-				Page:   req.Page,
-				Offset: uint32(run.start),
-				Flags:  flags,
-				Data:   data[run.start:run.end],
-			}); err != nil {
-				return err
-			}
-			met.bytesOut.Add(int64(run.end - run.start))
-		}
-	}
-	// A zero-length terminator marks the reply complete.
-	return w.SendPageData(proto.PageData{Page: req.Page, Flags: proto.FlagLast})
 }
 
 // openGet validates one get request and pins its page: the returned
@@ -737,17 +685,17 @@ func (s *Server) metrics() serverMetrics {
 }
 
 // sendPageV2 streams one page as TSubpageBatch frames: the plan message
-// covering the fault goes first (FlagFirst), the remainder follows in as
-// few batches as the frame size allows, and the final batch carries
-// FlagLast. The want bitmap trims the plan to the blocks the client still
-// misses (the faulted block is always sent). Between batches the request's
-// cancel flag is polled, so a withdrawn hedge stops mid-page instead of
-// burning the rest of its bandwidth.
+// covering the fault goes first (FlagFirst), the remainder follows, and
+// the final batch carries FlagLast. The want bitmap trims the plan to the
+// blocks the client still misses (the faulted block is always sent).
+// Between batches the request's cancel flag is polled, so a withdrawn
+// hedge stops mid-page instead of burning the rest of its bandwidth.
 //
 // Batch boundaries follow the transfer plan whenever wire emulation is on,
 // preserving the per-message serialization delays the paper's model
-// measures; on a raw loopback the remainder coalesces into maximal frames,
-// which is the batching win itself.
+// measures. On a raw loopback the sender coalesces: every message after
+// the faulted one merges into a single maximal batch (a full page minus
+// one subpage fits one frame), which is the batching win itself.
 func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2, slp *sleeper) error {
 	pb, pol, sub, off, errMsg := s.openGet(req.Page, req.Policy, req.SubpageSize, req.FaultOff)
 	if errMsg != "" {
@@ -763,60 +711,34 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2,
 	want |= 1 << (off / units.MinSubpage) // the faulted block is never optional
 
 	plan := pol.Plan(sub, off)
-	emulate := atomic.LoadInt64(&s.wireNsPerByte) > 0
-	canceled := func() bool {
-		if !st.isCanceled(req.ReqID) {
-			return false
+	n := len(plan)
+	if atomic.LoadInt64(&s.wireNsPerByte) == 0 {
+		// Coalesce: the faulted message, then one batch for everything
+		// else, dropped when nothing else is wanted.
+		n = 1
+		if want&^plan[0].Covers != 0 {
+			n = 2
 		}
-		s.mu.Lock()
-		s.Cancels++
-		s.mu.Unlock()
-		return true
 	}
-
-	// The want bitmap is a request, not a filter: blocks the client asks for
-	// beyond the plan's coverage (prefetch predictions on a lazy fault) are
-	// still owed. The plan shapes timing and batching; want decides content.
-	first := plan[0].Covers & want
-	rest := want &^ first
-
-	if !emulate {
-		// Fast path: the faulted message, then one maximal batch for the
-		// remainder (a full page minus one subpage fits a single frame).
-		flags := uint8(proto.FlagFirst)
-		if rest == 0 {
-			flags |= proto.FlagLast
-		}
-		if err := s.writeBatch(st, req.ReqID, req.Page, flags, first, pb.data, met, slp); err != nil {
-			return err
-		}
-		if rest == 0 || canceled() {
-			return nil
-		}
-		return s.writeBatch(st, req.ReqID, req.Page, proto.FlagLast, rest, pb.data, met, slp)
-	}
-
-	// Emulated wire: one batch per plan message, each delayed by its
-	// serialization time, so v2 keeps the arrival timing the transfer
-	// plans model — only the framing overhead changes. Requested blocks no
-	// plan message covers ride the final batch: they arrive last, after
-	// everything the policy deliberately scheduled.
-	planned := memmodel.Bitmap(0)
-	for _, msg := range plan {
-		planned |= msg.Covers
-	}
-	extra := want &^ planned
 	sent := memmodel.Bitmap(0)
-	for i, msg := range plan {
-		covers := msg.Covers & want &^ sent
-		last := i == len(plan)-1
-		if last {
-			covers |= extra
+	for i := 0; i < n; i++ {
+		last := i == n-1
+		// The want bitmap is a request, not a filter: blocks the client
+		// asks for beyond the plan's coverage (prefetch predictions on a
+		// lazy fault) are still owed, so the final batch carries every
+		// wanted block not yet sent — after everything the policy
+		// deliberately scheduled. The plan shapes timing and batching;
+		// want decides content.
+		covers := want &^ sent
+		if !last {
+			if covers &= plan[i].Covers; covers == 0 {
+				continue
+			}
 		}
-		if covers == 0 && !last {
-			continue
-		}
-		if i > 0 && canceled() {
+		if i > 0 && st.isCanceled(req.ReqID) {
+			s.mu.Lock()
+			s.Cancels++
+			s.mu.Unlock()
 			return nil
 		}
 		flags := uint8(0)
@@ -869,12 +791,8 @@ func (s *Server) writeBatch(st *connState, reqID, page uint64, flags uint8, cove
 // byteRun is a contiguous valid range within a page.
 type byteRun struct{ start, end int }
 
-func (r byteRun) contains(off int) bool { return off >= r.start && off < r.end }
-
-// bitmapRuns converts a valid-bit set into contiguous byte ranges.
-func bitmapRuns(b memmodel.Bitmap) []byteRun { return appendBitmapRuns(nil, b) }
-
-// appendBitmapRuns is the allocation-free form: runs append into dst.
+// appendBitmapRuns converts a valid-bit set into contiguous byte ranges,
+// appended to dst so the reply path can reuse its scratch slice.
 func appendBitmapRuns(dst []byteRun, b memmodel.Bitmap) []byteRun {
 	runs := dst
 	inRun := false

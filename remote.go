@@ -203,8 +203,8 @@ type ClientOptions struct {
 	SubpageSize int
 	// Policy is FullPage, Lazy, Eager, Pipelined or Prefetch (default
 	// Eager). Prefetch enables the learned prefetcher: predictions ride
-	// the v2 want bitmap over the lazy wire policy, so it needs no wire
-	// tag of its own (and is incompatible with WireV1).
+	// the want bitmap over the lazy wire policy, so it needs no wire tag
+	// of its own.
 	Policy Policy
 	// Readahead prefetches the next page during sequential fault runs.
 	Readahead bool
@@ -234,11 +234,6 @@ type ClientOptions struct {
 	// BreakerCooldown is how long a tripped breaker shuns its server
 	// before probing it again (default 1s).
 	BreakerCooldown time.Duration
-
-	// WireV1 pins the fault path to the v1 wire protocol for servers that
-	// predate the batched TGetPageV2/TSubpageBatch frames. Upgrade order
-	// is servers first, then clients (see DESIGN.md §11).
-	WireV1 bool
 
 	// Metrics, when non-nil, receives the client's gms_client_* metrics
 	// (see the README's Observability section). nil disables collection
@@ -280,7 +275,6 @@ func DialClient(dirAddr string, opts ClientOptions) (*Client, error) {
 		Hedge:            opts.Hedge,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
-		WireV1:           opts.WireV1,
 		Metrics:          opts.Metrics.registry(),
 	})
 	if err != nil {
@@ -305,10 +299,15 @@ type ClientStats struct {
 	PutPages   int64
 	BytesIn    int64
 	// Resilience counters: attempts beyond the first, retries that moved
-	// to a different replica, and hedged duplicate fetches.
+	// to a different replica, hedged duplicate fetches, and cancel frames
+	// sent to withdraw superseded fetches (the losing half of a hedge).
 	Retries   int64
 	Failovers int64
 	Hedges    int64
+	Cancels   int64
+	// Predicted counts fault attempts whose request carried the learned
+	// prefetcher's predictions (Policy Prefetch only).
+	Predicted int64
 	// Circuit-breaker state: trips (closed->open), half-open probes
 	// granted, and servers currently shunned.
 	BreakerOpens  int64
@@ -336,6 +335,8 @@ func (c *Client) Stats() ClientStats {
 		Retries:          st.Retries,
 		Failovers:        st.Failovers,
 		Hedges:           st.Hedges,
+		Cancels:          st.Cancels,
+		Predicted:        st.Predicted,
 		BreakerOpens:     st.BreakerOpens,
 		BreakerProbes:    st.BreakerProbes,
 		OpenBreakers:     st.OpenBreakers,
