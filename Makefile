@@ -4,15 +4,15 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race flake flake-smoke bench trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci fmt vet lint lint-baseline build test race flake flake-smoke bench trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke perfbench-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
 # over every package, the bounded flake hunt, the trace-export smoke, the
 # bounded scale-out load smoke, the batched-wire concurrency smoke, the
-# bounded crash-soak smoke, the learned-prefetcher smoke, and the benchmark
-# snapshot.
-ci: fmt vet lint build test race flake-smoke trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench
+# bounded crash-soak smoke, the learned-prefetcher smoke, the perfbench
+# self-test, and the benchmark snapshot.
+ci: fmt vet lint build test race flake-smoke trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke perfbench-smoke bench
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -77,6 +77,12 @@ bench:
 		-benchout BENCH_experiments.json > /dev/null
 	$(GO) run ./cmd/gmsload -dirlog -dirlogn 1000,10000,50000 \
 		-benchout BENCH_experiments.json > /dev/null
+
+# perfbench-smoke runs the end-to-end benchmark's own tests. perfbench is a
+# separate module, so `go build ./...` and `go test ./...` at the root never
+# compile it; this step catches a client API change that breaks it.
+perfbench-smoke:
+	cd perfbench && $(GO) test .
 
 # trace-smoke drives the fault tracer end to end through the CLI: one
 # small traced simulation exporting both formats, run twice, and the

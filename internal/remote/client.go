@@ -120,13 +120,15 @@ type Stats struct {
 	Evictions  int64
 	PutPages   int64
 	BytesIn    int64
-	Retries    int64         // fault or lookup attempts beyond the first
-	Failovers  int64         // retries redirected to a different replica
-	Hedges     int64         // duplicate GetPages sent to mask a slow primary
-	Cancels    int64         // cancel frames sent to withdraw superseded v2 requests
-	Predicted  int64         // fault attempts whose want bitmap carried prefetch predictions
-	SubpageLat stats.Summary // fault -> faulted-subpage arrival
-	FullLat    stats.Summary // fault -> complete page arrival
+	Retries    int64 // fault or lookup attempts beyond the first
+	Failovers  int64 // retries redirected to a different replica
+	Hedges     int64 // duplicate GetPages sent to mask a slow primary
+	Cancels    int64 // cancel frames sent to withdraw superseded v2 requests
+	Predicted  int64 // fault attempts whose want bitmap carried prefetch predictions
+	// Fault latencies in microseconds, in fixed-size histograms so the
+	// snapshot stays one plain copy however many faults the client takes.
+	SubpageLat stats.LogHist // fault -> faulted-subpage arrival
+	FullLat    stats.LogHist // fault -> complete page arrival
 
 	// Sharded-directory observability: lookups bounced by a shard that
 	// did not own the page (each bounce also delivers the current map),
@@ -146,6 +148,7 @@ type Stats struct {
 
 // cpage is one locally cached page.
 type cpage struct {
+	page     uint64 // the page number this entry caches
 	data     []byte
 	valid    memmodel.Bitmap
 	touched  memmodel.Bitmap // blocks some access has covered (prefetch history feed)
@@ -162,10 +165,13 @@ type cpage struct {
 	// error when every source failed. Buffered; sent under c.mu and
 	// cleared in the same critical section, so exactly one signal per
 	// attempt is ever delivered.
-	waitCh  chan error
-	lastUse int64
-	start   time.Time // when the current fault attempt was issued
-	err     error
+	waitCh chan error
+	start  time.Time // when the current fault attempt was issued
+	err    error
+	// prev and next thread the page through the client's recency list
+	// (under c.mu): most recently used at the head, eviction candidates
+	// from the tail. A page is on the list exactly while it is in c.cache.
+	prev, next *cpage
 }
 
 // cpageDataPool recycles page buffers between evicted and newly cached
@@ -178,11 +184,12 @@ var cpageDataPool = sync.Pool{
 	New: func() any { b := make([]byte, units.PageSize); return &b },
 }
 
-// newCpage builds a cache entry around a pooled (and cleared) buffer.
-func newCpage() *cpage {
+// newCpage builds a cache entry for page around a pooled (and cleared)
+// buffer.
+func newCpage(page uint64) *cpage {
 	data := *cpageDataPool.Get().(*[]byte)
 	clear(data)
-	return &cpage{data: data}
+	return &cpage{page: page, data: data}
 }
 
 // reqEntry ties a live request ID to the page attempt it serves.
@@ -287,10 +294,14 @@ type Client struct {
 	cond    *sync.Cond
 	cache   map[uint64]*cpage
 	located map[uint64][]string // directory answers: replica lists, primary first
-	tick    int64
 	stats   Stats
 	closed  bool
 	netErr  error
+
+	// mru and lru are the ends of the recency list threaded through the
+	// cached pages (see cpage.prev/next), under c.mu.
+	mru, lru *cpage
+
 	// pf is the learned prefetcher (nil unless ClientConfig.Prefetch).
 	// All access — Record on first touches, Predict when building want
 	// bitmaps — happens under c.mu; the Prefetcher itself is not
@@ -496,12 +507,10 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 		// goroutine can install the page meanwhile.
 		c.evictIfFull()
 		if p = c.cache[page]; p == nil {
-			p = newCpage()
-			c.cache[page] = p
+			p = c.insert(page)
 		}
 	}
-	c.tick++
-	p.lastUse = c.tick
+	c.touch(p)
 	need := neededMask(off, n)
 	if c.pf != nil {
 		// Feed the detector the access stream, not the fault stream: a
@@ -560,10 +569,7 @@ func (c *Client) maybePrefetch(page uint64) {
 	if c.cache[next] != nil {
 		return
 	}
-	p := newCpage()
-	c.cache[next] = p
-	c.tick++
-	p.lastUse = c.tick
+	p := c.insert(next)
 	p.faulting = true
 	c.stats.Prefetches++
 	c.met.prefetches.Inc()
@@ -589,7 +595,7 @@ func (c *Client) faultLoop(p *cpage, page uint64, off, n int, prefetch bool) {
 		if prefetch && c.cache[page] == p && p.valid == 0 && !p.dirty {
 			// Best effort: forget the untouched placeholder so a later
 			// demand access retries cleanly.
-			delete(c.cache, page)
+			c.remove(p)
 		}
 	}
 	c.cond.Broadcast()
@@ -857,32 +863,81 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// evictIfFull makes room for one more page. Called with c.mu held.
+// insert caches a fresh entry for page at the head of the recency list.
+// Called with c.mu held.
+func (c *Client) insert(page uint64) *cpage {
+	p := newCpage(page)
+	c.cache[page] = p
+	c.pushFront(p)
+	return p
+}
+
+// touch marks p most recently used. Called with c.mu held.
+func (c *Client) touch(p *cpage) {
+	if c.mru == p {
+		return
+	}
+	c.unlink(p)
+	c.pushFront(p)
+}
+
+// remove takes p out of the cache and the recency list. Called with c.mu
+// held.
+func (c *Client) remove(p *cpage) {
+	delete(c.cache, p.page)
+	c.unlink(p)
+}
+
+// pushFront links p in as the most recently used page.
+func (c *Client) pushFront(p *cpage) {
+	p.prev, p.next = nil, c.mru
+	if c.mru != nil {
+		c.mru.prev = p
+	} else {
+		c.lru = p
+	}
+	c.mru = p
+}
+
+// unlink takes p off the recency list.
+func (c *Client) unlink(p *cpage) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		c.mru = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		c.lru = p.prev
+	}
+	p.prev, p.next = nil, nil
+}
+
+// evictIfFull makes room for one more page. The victim is the least
+// recently used page that no fault, stream or accessor holds: a walk from
+// the tail of the recency list that skips only pinned pages, so its cost
+// is bounded by the pages in flight, not by the cache size. Called with
+// c.mu held.
 func (c *Client) evictIfFull() {
 	for len(c.cache) >= c.cfg.CachePages {
-		var victimID uint64
-		var victim *cpage
-		for id, p := range c.cache {
-			if p.inflight || p.faulting || p.waiters > 0 {
-				continue
-			}
-			if victim == nil || p.lastUse < victim.lastUse {
-				victim, victimID = p, id
-			}
+		victim := c.lru
+		for victim != nil && (victim.inflight || victim.faulting || victim.waiters > 0) {
+			victim = victim.prev
 		}
 		if victim == nil {
 			return // everything is in flight; allow a brief overcommit
 		}
-		delete(c.cache, victimID)
+		c.remove(victim)
 		c.stats.Evictions++
 		c.met.evictions.Inc()
 		if victim.dirty && victim.valid.Full() {
 			c.stats.PutPages++
 			c.met.putPages.Inc()
 			data := victim.data
-			addrs := c.located[victimID]
+			addrs := c.located[victim.page]
 			c.mu.Unlock()
-			c.putPage(addrs, victimID, data)
+			c.putPage(addrs, victim.page, data)
 			c.mu.Lock()
 		}
 		// The victim is out of the cache, has no stream, no fault owner
@@ -1311,16 +1366,14 @@ func (c *Client) dropServer(addr string, cause error) {
 // failPending removes addr as a source for every in-flight attempt. An
 // attempt whose last source just vanished is signaled with cause; its
 // faultLoop decides whether to retry, fail over or give up. An attempt
-// with a live hedge outstanding keeps going untouched.
+// with a live hedge outstanding keeps going untouched. It walks the live
+// requests, so its cost follows the requests in flight, not the cache size.
 func (c *Client) failPending(addr string, cause error) {
 	var cancels []pendingCancel
 	c.mu.Lock()
-	for _, p := range c.cache {
-		if p.sources == nil {
-			continue
-		}
-		id, ok := p.sources[addr]
-		if !ok {
+	for id, ent := range c.reqs {
+		p := ent.p
+		if ent.addr != addr || p.sources[addr] != id {
 			continue
 		}
 		delete(p.sources, addr)
@@ -1378,9 +1431,9 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 	if live && p.waitCh != nil {
 		if b.Flags&proto.FlagFirst != 0 && !p.firstOK && !p.start.IsZero() {
 			p.firstOK = true
-			lat := float64(time.Since(p.start).Microseconds())
+			lat := time.Since(p.start).Microseconds()
 			c.stats.SubpageLat.Add(lat)
-			c.met.subpageLat.Observe(lat)
+			c.met.subpageLat.Observe(float64(lat))
 		}
 		if b.Flags&proto.FlagLast != 0 {
 			ch := p.waitCh
@@ -1393,9 +1446,9 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 			delete(c.reqs, b.ReqID)
 			cancels = c.deregSources(p, cancels)
 			if !p.start.IsZero() {
-				lat := float64(time.Since(p.start).Microseconds())
+				lat := time.Since(p.start).Microseconds()
 				c.stats.FullLat.Add(lat)
-				c.met.fullLat.Observe(lat)
+				c.met.fullLat.Observe(float64(lat))
 				p.start = time.Time{}
 			}
 			ch <- nil //lint:allow lockio waitCh has capacity 1 and is nilled in this critical section, so the send never blocks

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,28 @@ func TestStatsSnapshotCoherentUnderRace(t *testing.T) {
 	if st := c.Stats(); st.BreakerOpens == 0 {
 		t.Fatalf("test never exercised the breaker: %+v", st)
 	}
+}
+
+// Stats is a plain value all the way down — no slice, map, pointer or
+// other reference — so per-client statistics cannot grow with the number
+// of faults, and a snapshot copies no shared state.
+func TestStatsHoldNoReferences(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %v: Stats must be a fixed-size value", path, typ.Kind())
+		}
+	}
+	check("Stats", reflect.TypeOf(Stats{}))
 }
 
 // TestClientMetricsMirrorStats: with a registry configured, the

@@ -466,3 +466,34 @@ func TestBatchedWireSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A warm fault — location cached, a full cache, so the read evicts one
+// page and refetches another over the v2 wire — has a fixed allocation
+// budget, client and server side together: the fault goroutine, its
+// attempt's channel, timer and source map, the cache entry, and the
+// server's per-request plan. Nothing in it may grow with the number of
+// faults taken or the size of the cache.
+func TestWarmFaultAllocs(t *testing.T) {
+	const pages, cache = 16, 4
+	dir, _ := testCluster(t, pages)
+	c := testClient(t, dir, ClientConfig{CachePages: cache, Policy: proto.PolicyEager})
+	buf := make([]byte, 64)
+	next := 0
+	read := func() {
+		if err := c.Read(buf, uint64(next%pages)*units.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 2*pages; i++ {
+		read() // every location known, every later read a miss
+	}
+	before := c.Stats()
+	const budget = 14.0
+	if n := testing.AllocsPerRun(400, read); n > budget {
+		t.Fatalf("a warm fault allocates %.1f objects, budget %v", n, budget)
+	}
+	if st := c.Stats(); st.Faults-before.Faults < 400 {
+		t.Fatalf("%d faults in 401 reads; every read should miss", st.Faults-before.Faults)
+	}
+}
